@@ -7,7 +7,7 @@
 /// ([`crate::ProofSink::summary`]) or a *delta* between two
 /// snapshots ([`Certificate::delta_since`], what the engines attach to
 /// one bound's verdict). Deltas compose with [`Certificate::absorb`]
-/// (everything summed, the active-clause peak maxed), so per-bound
+/// (everything summed, the two checker peaks maxed), so per-bound
 /// certificates fold into per-session, per-job and per-service totals
 /// exactly like `RunStats`.
 ///
@@ -37,6 +37,11 @@ pub struct Certificate {
     /// Peak number of clauses the checker held at once — the
     /// `O(active clauses)` figure of the streaming design.
     pub peak_active_clauses: u64,
+    /// Peak exact bytes the checker held at once
+    /// ([`crate::ForwardChecker::resident_bytes`]: clause arena, slots,
+    /// content index, watch lists and assignment) — the proof layer's
+    /// memory, measured like the solver's arena and watch bytes.
+    pub peak_checker_bytes: u64,
     /// Decided bounds this certificate was asked to cover.
     pub bounds_attempted: u64,
     /// Decided bounds whose verdict was successfully machine-checked.
@@ -45,7 +50,7 @@ pub struct Certificate {
 
 impl Certificate {
     /// Folds another certificate in: all counters summed, the
-    /// active-clause peak maxed.
+    /// active-clause and checker-byte peaks maxed.
     pub fn absorb(&mut self, other: &Certificate) {
         self.originals += other.originals;
         self.lemmas_checked += other.lemmas_checked;
@@ -55,6 +60,7 @@ impl Certificate {
         self.unsat_proofs += other.unsat_proofs;
         self.proof_bytes += other.proof_bytes;
         self.peak_active_clauses = self.peak_active_clauses.max(other.peak_active_clauses);
+        self.peak_checker_bytes = self.peak_checker_bytes.max(other.peak_checker_bytes);
         self.bounds_attempted += other.bounds_attempted;
         self.bounds_certified += other.bounds_certified;
     }
@@ -73,7 +79,7 @@ impl Certificate {
     }
 
     /// The counters accumulated since `earlier` (an older snapshot of
-    /// the same checker). Monotone counters subtract; the peak keeps
+    /// the same checker). Monotone counters subtract; the peaks keep
     /// the current value.
     pub fn delta_since(&self, earlier: &Certificate) -> Certificate {
         Certificate {
@@ -85,6 +91,7 @@ impl Certificate {
             unsat_proofs: self.unsat_proofs.saturating_sub(earlier.unsat_proofs),
             proof_bytes: self.proof_bytes.saturating_sub(earlier.proof_bytes),
             peak_active_clauses: self.peak_active_clauses,
+            peak_checker_bytes: self.peak_checker_bytes,
             bounds_attempted: self
                 .bounds_attempted
                 .saturating_sub(earlier.bounds_attempted),
@@ -118,6 +125,7 @@ mod tests {
             unsat_proofs: 1,
             proof_bytes: 100 * n,
             peak_active_clauses: 10 + n,
+            peak_checker_bytes: 1000 * n,
             bounds_attempted: 1,
             bounds_certified: 1,
         }
@@ -131,6 +139,7 @@ mod tests {
         assert_eq!(total.lemmas_checked, 28);
         assert_eq!(total.proof_bytes, 1400);
         assert_eq!(total.peak_active_clauses, 20, "peaks maxed");
+        assert_eq!(total.peak_checker_bytes, 10_000, "peaks maxed");
         assert_eq!(total.bounds_attempted, 2);
         assert!(total.fully_certified());
     }
@@ -145,6 +154,7 @@ mod tests {
         assert_eq!(delta.lemmas_checked, 12);
         assert_eq!(delta.proof_bytes, 600);
         assert_eq!(delta.peak_active_clauses, late.peak_active_clauses);
+        assert_eq!(delta.peak_checker_bytes, late.peak_checker_bytes);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The forward proof checker and its streaming front-end.
 
-use std::collections::HashMap;
+use std::mem::size_of;
 
 use sebmc_logic::Lit;
 
@@ -13,19 +13,42 @@ const UNASSIGNED: u8 = 0;
 const TRUE: u8 = 1;
 const FALSE: u8 = 2;
 
+/// "No slot" / "no watch" marker in the `u32` links of [`Slot`].
+const NONE: u32 = u32::MAX;
+
+/// The arena is compacted once at least half of it is garbage, and
+/// never while the garbage is below this many literals.
+const COMPACT_MIN_GARBAGE: usize = 1024;
+
+/// Smallest content-index table (a power of two).
+const MIN_BUCKETS: usize = 16;
+
 /// Default in-flight proof buffer of a [`StreamingChecker`], in bytes.
 pub const DEFAULT_RING_BYTES: usize = 16 * 1024;
 
-/// One active clause: its literals and, when it participates in
-/// propagation, the two watched literal codes.
+/// The fixed-size record of one clause: where its sorted literal codes
+/// sit in the arena, which two codes it watches, and the next slot of
+/// its content-index bucket (or of the free list, for a free slot).
 ///
 /// A clause that was unit, satisfied-by-a-unit or falsified at insert
-/// time carries no watches (its consequence, if any, was propagated
-/// permanently on insert).
-#[derive(Debug, Default)]
+/// time watches nothing (`watch == [NONE; 2]`): its consequence, if
+/// any, was propagated permanently on insert.
+#[derive(Clone, Copy, Debug)]
 struct Slot {
-    lits: Vec<Lit>,
-    watch: Option<[usize; 2]>,
+    off: u32,
+    /// Literal count; 0 marks a free slot (the empty clause is never
+    /// stored).
+    len: u32,
+    watch: [u32; 2],
+    next: u32,
+}
+
+/// One watch-list entry: the watching slot and a literal code of the
+/// same clause whose truth lets propagation skip the slot untouched.
+#[derive(Clone, Copy, Debug)]
+struct Watch {
+    slot: u32,
+    blocker: u32,
 }
 
 /// A forward (unit-propagation) proof checker over an explicit active
@@ -41,22 +64,45 @@ struct Slot {
 /// the axioms, so deletions can never unsound them (see the
 /// [crate docs](crate)).
 ///
-/// Memory is `O(active clauses)`: the watch lists, the content index
-/// and the slots all shrink on deletion, which is what lets a
-/// *streaming* consumer certify an unbounded proof in bounded space.
+/// Storage is flat, the way the solver's clause arena is:
+///
+/// * every clause's literal codes, sorted, live in one `Vec<u32>`
+///   arena; a deletion turns them into garbage, and the arena is
+///   compacted (slots renumbered, watch lists and index rebuilt) once
+///   half of it is garbage;
+/// * each clause owns one fixed-size slot (offset, length, two watched
+///   codes, an index link); free slots form an intrusive list;
+/// * the content index hashes the sorted codes to a bucket of chained
+///   slots, and a match is confirmed by comparing literals, so a hash
+///   collision can never delete the wrong clause;
+/// * watch lists hold `(slot, blocker)` pairs by literal code.
+///
+/// Memory is `O(active clauses)` plus per-variable tables, and
+/// [`ForwardChecker::resident_bytes`] reports it exactly — which is
+/// what lets a *streaming* consumer certify an unbounded proof in
+/// bounded, measured space.
 #[derive(Debug, Default)]
 pub struct ForwardChecker {
     /// Assignment by literal code (`UNASSIGNED`/`TRUE`/`FALSE`).
     vals: Vec<u8>,
     trail: Vec<Lit>,
     qhead: usize,
-    clauses: Vec<Slot>,
-    free: Vec<usize>,
-    /// Content index: sorted literal codes → slots holding that clause
-    /// (a multiset — the solver may hold identical clauses).
-    index: HashMap<Box<[u32]>, Vec<usize>>,
-    /// Watch lists by literal code: slots watching that literal.
-    watches: Vec<Vec<usize>>,
+    /// Sorted literal codes of every stored clause, garbage included.
+    arena: Vec<u32>,
+    /// Arena words owned by deleted clauses.
+    garbage: usize,
+    slots: Vec<Slot>,
+    /// Head of the free-slot list, linked through `Slot::next`.
+    free_head: Option<u32>,
+    /// Content index: bucket (hash of the sorted codes) → first slot
+    /// of its chain. Empty or a power of two long.
+    buckets: Vec<u32>,
+    /// Watch lists by literal code.
+    watches: Vec<Vec<Watch>>,
+    /// Total capacity of the inner watch lists, in entries.
+    watch_cap: usize,
+    /// Sorted codes of the clause being inserted or deleted.
+    scratch: Vec<u32>,
     proved_unsat: bool,
     /// The last *verified* finalization lemma, as sorted literal codes.
     last_final: Option<Vec<u32>>,
@@ -68,6 +114,7 @@ pub struct ForwardChecker {
     unsat_proofs: u64,
     active: usize,
     peak_active: usize,
+    peak_bytes: usize,
 }
 
 impl ForwardChecker {
@@ -87,6 +134,22 @@ impl ForwardChecker {
         self.active
     }
 
+    /// Exact bytes the checker occupies: the struct itself plus the
+    /// capacity of every buffer it owns (assignment, trail, arena,
+    /// slots, index, watch lists, scratch, finalization lemma).
+    pub fn resident_bytes(&self) -> usize {
+        size_of::<Self>()
+            + self.vals.capacity()
+            + self.trail.capacity() * size_of::<Lit>()
+            + self.arena.capacity() * size_of::<u32>()
+            + self.slots.capacity() * size_of::<Slot>()
+            + self.buckets.capacity() * size_of::<u32>()
+            + self.watches.capacity() * size_of::<Vec<Watch>>()
+            + self.watch_cap * size_of::<Watch>()
+            + self.scratch.capacity() * size_of::<u32>()
+            + self.last_final.as_ref().map_or(0, Vec::capacity) * size_of::<u32>()
+    }
+
     /// Cumulative counters (the `proof_bytes` field is owned by the
     /// encoder and left 0 here).
     pub fn certificate(&self) -> Certificate {
@@ -99,6 +162,7 @@ impl ForwardChecker {
             unsat_proofs: self.unsat_proofs,
             proof_bytes: 0,
             peak_active_clauses: self.peak_active as u64,
+            peak_checker_bytes: self.peak_bytes as u64,
             bounds_attempted: 0,
             bounds_certified: 0,
         }
@@ -125,9 +189,10 @@ impl ForwardChecker {
         self.originals += 1;
         if lits.is_empty() {
             self.proved_unsat = true;
-            return;
+        } else {
+            self.insert(lits);
         }
-        self.insert(lits);
+        self.note_peak();
     }
 
     /// RUP-checks a derived clause and, when it passes, inserts it.
@@ -141,7 +206,9 @@ impl ForwardChecker {
         if ok {
             if finalize {
                 self.unsat_proofs += 1;
-                let mut codes: Vec<u32> = lits.iter().map(|&l| l.code() as u32).collect();
+                let mut codes = self.last_final.take().unwrap_or_default();
+                codes.clear();
+                codes.extend(lits.iter().map(|&l| l.code() as u32));
                 codes.sort_unstable();
                 self.last_final = Some(codes);
             }
@@ -156,6 +223,7 @@ impl ForwardChecker {
                 self.last_final = None;
             }
         }
+        self.note_peak();
         ok
     }
 
@@ -164,26 +232,46 @@ impl ForwardChecker {
     /// delete — a desynchronised log.
     pub fn delete(&mut self, lits: &[Lit]) {
         self.deletions += 1;
-        let key = clause_key(lits);
-        let Some(ids) = self.index.get_mut(&key) else {
+        self.load_scratch(lits);
+        self.note_peak();
+        let Some((b, id, prev)) = self.find() else {
             self.missing_deletes += 1;
             return;
         };
-        let id = ids.pop().expect("index entries are never empty");
-        if ids.is_empty() {
-            self.index.remove(&key);
+        let slot = self.slots[id as usize];
+        // Unlink from the index chain.
+        if prev == NONE {
+            self.buckets[b] = slot.next;
+        } else {
+            self.slots[prev as usize].next = slot.next;
         }
-        if let Some(ws) = self.clauses[id].watch {
-            for code in ws {
-                self.watches[code].retain(|&c| c != id);
+        if slot.watch[0] != NONE {
+            for code in slot.watch {
+                let ws = &mut self.watches[code as usize];
+                if let Some(i) = ws.iter().position(|w| w.slot == id) {
+                    ws.swap_remove(i);
+                }
             }
         }
-        self.clauses[id] = Slot::default();
-        self.free.push(id);
+        self.slots[id as usize] = Slot {
+            off: 0,
+            len: 0,
+            watch: [NONE; 2],
+            next: self.free_head.unwrap_or(NONE),
+        };
+        self.free_head = Some(id);
+        self.garbage += slot.len as usize;
         self.active -= 1;
+        if self.garbage >= COMPACT_MIN_GARBAGE && 2 * self.garbage >= self.arena.len() {
+            self.compact();
+        }
     }
 
     // ----- internals -----------------------------------------------------
+
+    fn note_peak(&mut self) {
+        self.peak_bytes = self.peak_bytes.max(self.resident_bytes());
+    }
 
     fn ensure_lit(&mut self, l: Lit) {
         let need = l.code().max((!l).code()) + 1;
@@ -194,16 +282,54 @@ impl ForwardChecker {
     }
 
     #[inline]
-    fn value(&self, l: Lit) -> u8 {
-        self.vals.get(l.code()).copied().unwrap_or(UNASSIGNED)
+    fn value(&self, code: u32) -> u8 {
+        self.vals[code as usize]
     }
 
     #[inline]
     fn assign(&mut self, p: Lit) {
-        debug_assert_eq!(self.value(p), UNASSIGNED);
+        debug_assert_eq!(self.value(p.code() as u32), UNASSIGNED);
         self.vals[p.code()] = TRUE;
         self.vals[(!p).code()] = FALSE;
         self.trail.push(p);
+    }
+
+    fn push_watch(&mut self, code: u32, w: Watch) {
+        let ws = &mut self.watches[code as usize];
+        let before = ws.capacity();
+        ws.push(w);
+        self.watch_cap += ws.capacity() - before;
+    }
+
+    /// Puts `lits`' codes, sorted, into `scratch`.
+    fn load_scratch(&mut self, lits: &[Lit]) {
+        self.scratch.clear();
+        self.scratch.extend(lits.iter().map(|&l| l.code() as u32));
+        self.scratch.sort_unstable();
+    }
+
+    /// The bucket and slot holding exactly `scratch`'s literals, with
+    /// the slot's predecessor in the chain (`NONE` at the chain head).
+    fn find(&self) -> Option<(usize, u32, u32)> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let b = bucket(content_hash(&self.scratch), self.buckets.len());
+        let (mut prev, mut id) = (NONE, self.buckets[b]);
+        while id != NONE {
+            let s = self.slots[id as usize];
+            if self.lits_of(s) == self.scratch.as_slice() {
+                return Some((b, id, prev));
+            }
+            prev = id;
+            id = s.next;
+        }
+        None
+    }
+
+    #[inline]
+    fn lits_of(&self, s: Slot) -> &[u32] {
+        &self.arena[s.off as usize..s.off as usize + s.len as usize]
     }
 
     /// Unit propagation from the current queue head; `true` = conflict.
@@ -211,50 +337,57 @@ impl ForwardChecker {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            let fcode = (!p).code();
-            if fcode >= self.watches.len() {
-                continue;
-            }
+            let fcode = (!p).code() as u32;
+            // Walk a taken list so pushes onto *other* lists can go
+            // through `push_watch`; a replacement is never `fcode`.
+            let mut ws = std::mem::take(&mut self.watches[fcode as usize]);
+            let mut conflict = false;
             let mut i = 0;
-            while i < self.watches[fcode].len() {
-                let cid = self.watches[fcode][i];
-                let ws = self.clauses[cid].watch.expect("watched clause has watches");
-                let other_code = if ws[0] == fcode { ws[1] } else { ws[0] };
-                let other = Lit::from_code(other_code);
+            while i < ws.len() {
+                let w = ws[i];
+                if self.value(w.blocker) == TRUE {
+                    i += 1;
+                    continue;
+                }
+                let s = self.slots[w.slot as usize];
+                let which = usize::from(s.watch[0] != fcode);
+                let other = s.watch[1 - which];
                 if self.value(other) == TRUE {
+                    ws[i].blocker = other;
                     i += 1;
                     continue;
                 }
                 // Look for a non-falsified replacement watch.
-                let mut repl: Option<usize> = None;
-                for idx in 0..self.clauses[cid].lits.len() {
-                    let l = self.clauses[cid].lits[idx];
-                    let c = l.code();
-                    if c != fcode && c != other_code && self.value(l) != FALSE {
-                        repl = Some(c);
+                let repl = self
+                    .lits_of(s)
+                    .iter()
+                    .copied()
+                    .find(|&c| c != fcode && c != other && self.value(c) != FALSE);
+                match repl {
+                    Some(code) => {
+                        self.slots[w.slot as usize].watch[which] = code;
+                        ws.swap_remove(i);
+                        self.push_watch(
+                            code,
+                            Watch {
+                                slot: w.slot,
+                                blocker: other,
+                            },
+                        );
+                    }
+                    None if self.value(other) == UNASSIGNED => {
+                        self.assign(Lit::from_code(other as usize));
+                        i += 1;
+                    }
+                    None => {
+                        conflict = true; // both watches false
                         break;
                     }
                 }
-                match repl {
-                    Some(code) => {
-                        self.watches[fcode].swap_remove(i);
-                        let ws = self.clauses[cid]
-                            .watch
-                            .as_mut()
-                            .expect("watched clause has watches");
-                        if ws[0] == fcode {
-                            ws[0] = code;
-                        } else {
-                            ws[1] = code;
-                        }
-                        self.watches[code].push(cid);
-                    }
-                    None if self.value(other) == UNASSIGNED => {
-                        self.assign(other);
-                        i += 1;
-                    }
-                    None => return true, // both watches false: conflict
-                }
+            }
+            self.watches[fcode as usize] = ws;
+            if conflict {
+                return true;
             }
         }
         false
@@ -282,7 +415,7 @@ impl ForwardChecker {
         let mut conflict = false;
         for &l in lits {
             self.ensure_lit(l);
-            match self.value(l) {
+            match self.value(l.code() as u32) {
                 TRUE => {
                     conflict = true; // ¬l contradicts an established unit
                     break;
@@ -303,59 +436,163 @@ impl ForwardChecker {
         for &l in lits {
             self.ensure_lit(l);
         }
-        let id = match self.free.pop() {
-            Some(id) => id,
+        self.load_scratch(lits);
+        let off = to_u32(self.arena.len());
+        self.arena.extend_from_slice(&self.scratch);
+        let slot = Slot {
+            off,
+            len: to_u32(lits.len()),
+            watch: [NONE; 2],
+            next: NONE,
+        };
+        let id = match self.free_head {
+            Some(id) => {
+                let next = self.slots[id as usize].next;
+                self.free_head = (next != NONE).then_some(next);
+                self.slots[id as usize] = slot;
+                id
+            }
             None => {
-                self.clauses.push(Slot::default());
-                self.clauses.len() - 1
+                self.slots.push(slot);
+                to_u32(self.slots.len() - 1)
             }
         };
-        self.index.entry(clause_key(lits)).or_default().push(id);
         self.active += 1;
         self.peak_active = self.peak_active.max(self.active);
+        if self.active > self.buckets.len() {
+            self.rebuild_index((2 * self.buckets.len()).max(MIN_BUCKETS));
+        } else {
+            self.link(id);
+        }
 
-        // Pick up to two non-falsified literals to watch; fewer means
-        // the clause acts now.
-        let mut picks = [0usize; 2];
+        // Pick up to two distinct non-falsified literals to watch;
+        // fewer means the clause acts now.
+        let mut picks = [NONE; 2];
         let mut found = 0;
-        for &l in lits {
-            if self.value(l) != FALSE {
-                picks[found] = l.code();
+        for &c in self.lits_of(slot) {
+            if self.value(c) != FALSE && c != picks[0] {
+                picks[found] = c;
                 found += 1;
                 if found == 2 {
                     break;
                 }
             }
         }
-        let slot = &mut self.clauses[id];
-        slot.lits = lits.to_vec();
-        slot.watch = None;
         match found {
             2 => {
-                slot.watch = Some(picks);
-                self.watches[picks[0]].push(id);
-                self.watches[picks[1]].push(id);
+                self.slots[id as usize].watch = picks;
+                self.push_watch(
+                    picks[0],
+                    Watch {
+                        slot: id,
+                        blocker: picks[1],
+                    },
+                );
+                self.push_watch(
+                    picks[1],
+                    Watch {
+                        slot: id,
+                        blocker: picks[0],
+                    },
+                );
             }
             1 => {
-                let u = Lit::from_code(picks[0]);
-                if self.value(u) == UNASSIGNED {
-                    self.assign(u);
+                if self.value(picks[0]) == UNASSIGNED {
+                    self.assign(Lit::from_code(picks[0] as usize));
                     if self.propagate() {
                         self.proved_unsat = true;
                     }
                 }
-                // `u` already TRUE: satisfied, nothing to do.
+                // Already TRUE: satisfied, nothing to do.
             }
             _ => self.proved_unsat = true, // fully falsified by units
         }
     }
+
+    /// Pushes live slot `id` onto the front of its bucket chain.
+    fn link(&mut self, id: u32) {
+        let b = bucket(
+            content_hash(self.lits_of(self.slots[id as usize])),
+            self.buckets.len(),
+        );
+        self.slots[id as usize].next = self.buckets[b];
+        self.buckets[b] = id;
+    }
+
+    /// Re-hashes every live slot into a fresh table of `n` buckets.
+    fn rebuild_index(&mut self, n: usize) {
+        debug_assert!(n.is_power_of_two());
+        self.buckets = vec![NONE; n];
+        for id in 0..self.slots.len() {
+            if self.slots[id].len != 0 {
+                self.link(to_u32(id));
+            }
+        }
+    }
+
+    /// Drops the arena's garbage: live clauses are copied into a fresh
+    /// arena and renumbered densely, and the free list, watch lists
+    /// and content index are rebuilt around the new slot ids (watch
+    /// *codes* are kept, so the propagation state is unchanged).
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.garbage);
+        let mut slots = Vec::with_capacity(self.active);
+        for s in &self.slots {
+            if s.len != 0 {
+                let off = to_u32(arena.len());
+                arena.extend_from_slice(self.lits_of(*s));
+                slots.push(Slot {
+                    off,
+                    next: NONE,
+                    ..*s
+                });
+            }
+        }
+        self.arena = arena;
+        self.slots = slots;
+        self.garbage = 0;
+        self.free_head = None;
+        for ws in &mut self.watches {
+            *ws = Vec::new();
+        }
+        self.watch_cap = 0;
+        for id in 0..self.slots.len() {
+            let [a, b] = self.slots[id].watch;
+            if a != NONE {
+                let slot = to_u32(id);
+                self.push_watch(a, Watch { slot, blocker: b });
+                self.push_watch(b, Watch { slot, blocker: a });
+            }
+        }
+        self.rebuild_index(self.active.next_power_of_two().max(MIN_BUCKETS));
+    }
 }
 
-/// Order-insensitive clause identity: sorted literal codes.
-fn clause_key(lits: &[Lit]) -> Box<[u32]> {
-    let mut codes: Vec<u32> = lits.iter().map(|&l| l.code() as u32).collect();
-    codes.sort_unstable();
-    codes.into_boxed_slice()
+/// 64-bit content hash of sorted literal codes.
+fn content_hash(codes: &[u32]) -> u64 {
+    let mut h = codes.len() as u64;
+    for &c in codes {
+        h = (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    // SplitMix64 finalizer: spread every input bit over the low bits
+    // the bucket mask keeps.
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Bucket of `hash` in a table of `n` (a power of two) buckets.
+#[inline]
+fn bucket(hash: u64, n: usize) -> usize {
+    hash as usize & (n - 1)
+}
+
+/// Narrows an arena offset, length or slot id to the checker's `u32`
+/// links.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("checker store exceeds 2^32 entries")
 }
 
 /// The streaming certifier: a [`ProofSink`] that encodes every event
@@ -607,6 +844,81 @@ mod tests {
         assert_eq!(cert.proof_bytes as usize, s.bytes_emitted());
         assert!(cert.proof_bytes > 0);
         assert!(cert.peak_active_clauses >= 3);
+    }
+
+    /// `resident_bytes` from first principles: every buffer walked,
+    /// no running counters.
+    fn recount(c: &ForwardChecker) -> usize {
+        size_of::<ForwardChecker>()
+            + c.vals.capacity()
+            + c.trail.capacity() * size_of::<Lit>()
+            + c.arena.capacity() * 4
+            + c.slots.capacity() * size_of::<Slot>()
+            + c.buckets.capacity() * 4
+            + c.watches.capacity() * size_of::<Vec<Watch>>()
+            + c.watches.iter().map(Vec::capacity).sum::<usize>() * size_of::<Watch>()
+            + c.scratch.capacity() * 4
+            + c.last_final.as_ref().map_or(0, |f| f.capacity() * 4)
+    }
+
+    #[test]
+    fn resident_bytes_is_exact_through_growth_and_compaction() {
+        let mut c = ForwardChecker::new();
+        assert_eq!(c.resident_bytes(), recount(&c));
+        let clause =
+            |i: usize| -> Vec<Lit> { (0..4).map(|j| l(2 * ((i * 7 + j * 13) % 300))).collect() };
+        for i in 0..8_000 {
+            c.original(&clause(i));
+            c.add(&[l(1), l(3)], i % 100 == 0);
+        }
+        assert_eq!(c.resident_bytes(), recount(&c));
+        let peak = c.certificate().peak_checker_bytes as usize;
+        assert!(peak >= c.resident_bytes());
+        for i in 0..7_990 {
+            c.delete(&clause(i));
+        }
+        assert_eq!(c.certificate().missing_deletes, 0);
+        assert!(c.garbage < c.arena.len() || c.arena.len() < 2 * COMPACT_MIN_GARBAGE);
+        assert_eq!(c.resident_bytes(), recount(&c), "exact after compaction");
+        assert!(
+            c.resident_bytes() < peak / 4,
+            "compaction gave the bytes back"
+        );
+        assert_eq!(
+            c.certificate().peak_checker_bytes as usize,
+            peak,
+            "peak is sticky"
+        );
+    }
+
+    #[test]
+    fn content_index_survives_hash_collisions() {
+        // A one-bucket view of the index: every clause shares a chain,
+        // so only the literal comparison tells them apart.
+        let mut c = ForwardChecker::new();
+        let clauses: Vec<Vec<Lit>> = (0..40).map(|i| vec![l(2 * i), l(2 * i + 3)]).collect();
+        for cl in &clauses {
+            c.original(cl);
+        }
+        c.rebuild_index(1);
+        // The first half sits deepest in the chain.
+        for cl in &clauses[..20] {
+            c.delete(&[cl[1], cl[0]]);
+        }
+        assert_eq!(c.certificate().missing_deletes, 0);
+        for cl in &clauses[..20] {
+            c.delete(cl);
+        }
+        assert_eq!(c.certificate().missing_deletes, 20, "each is gone already");
+        for cl in &clauses[20..] {
+            c.delete(cl);
+        }
+        assert_eq!(
+            c.certificate().missing_deletes,
+            20,
+            "the rest was untouched"
+        );
+        assert_eq!(c.active_clauses(), 0);
     }
 
     #[test]

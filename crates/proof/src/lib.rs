@@ -20,8 +20,11 @@
 //!   checker memory is `O(active clauses)` (it mirrors the solver's
 //!   live clause database, deletions included), not `O(proof)`;
 //! * the stream is **byte-accounted exactly** ([`ProofSink::bytes_emitted`]),
-//!   so the size of the certificate joins the clause-arena and
-//!   watch-storage bytes in the experiment tables.
+//!   and so is the checker's own footprint
+//!   ([`ForwardChecker::resident_bytes`], whose peak is
+//!   [`Certificate::peak_checker_bytes`]), so the proof layer's bytes
+//!   join the clause-arena and watch-storage bytes in the experiment
+//!   tables.
 //!
 //! # The proof dialect
 //!

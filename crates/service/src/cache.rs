@@ -27,16 +27,22 @@
 //! produced the verdict.
 //!
 //! Memory is bounded by [`ResultCache::max_total_bytes`]: every entry
-//! is charged an estimated footprint and least-recently-used entries
-//! are evicted until the new entry fits. An entry larger than the
-//! whole budget is simply not cached.
+//! is charged its in-memory footprint — the key and the entry as they
+//! sit in the hash table (`size_of`, which covers the whole inline
+//! `JobReport`), plus the heap parts the stored report owns (strings,
+//! engine and winner lists, failure records, an in-memory trace) — and
+//! least-recently-used entries are evicted until the new entry fits.
+//! The table's spare capacity and the allocator's per-block headers are
+//! not charged. An entry larger than the whole budget is simply not
+//! cached.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::time::Duration;
 
 use sebmc::{BmcResult, Semantics};
 
-use crate::report::JobReport;
+use crate::report::{FailureReport, JobReport};
 
 /// Everything that determines a cached verdict.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -71,22 +77,30 @@ pub struct ResultCache {
     evictions: u64,
 }
 
-/// Estimated in-memory footprint of a cached report: strings, winners,
-/// an in-memory trace if the report still carries one, and a fixed
-/// overhead for the struct itself.
+/// In-memory footprint of a cached report (see the module docs). The
+/// stored report is a clone, and clones of strings and vectors are
+/// exact-fit, so lengths here are the stored capacities.
 fn entry_bytes(r: &JobReport) -> usize {
-    let mut bytes = 512; // struct + map slot overhead
+    let mut bytes = size_of::<CacheKey>() + size_of::<Entry>();
     bytes += r.name.len() + r.model.len();
-    bytes += r.engines.len() * 16 + r.winners.len() * 24;
+    bytes += r.engines.len() * size_of::<&'static str>();
+    bytes += r.winners.len() * size_of::<(usize, &'static str)>();
     bytes += r.witness_path.as_ref().map_or(0, String::len);
     bytes += r.proof_path.as_ref().map_or(0, String::len);
-    if let BmcResult::Reachable(Some(trace)) = &r.verdict {
-        // One packed state + one input vector per step, conservatively
-        // 16 bytes per element.
-        bytes += (trace.len() + 1) * 32;
-    }
-    if let BmcResult::Unknown(reason) = &r.verdict {
-        bytes += reason.len();
+    bytes += r
+        .failures
+        .iter()
+        .map(|f| size_of::<FailureReport>() + f.reason.len())
+        .sum::<usize>();
+    match &r.verdict {
+        BmcResult::Reachable(Some(trace)) => {
+            for rows in [&trace.states, &trace.inputs] {
+                bytes += rows.len() * size_of::<Vec<bool>>();
+                bytes += rows.iter().map(Vec::len).sum::<usize>();
+            }
+        }
+        BmcResult::Unknown(reason) => bytes += reason.len(),
+        _ => {}
     }
     bytes
 }
@@ -305,6 +319,19 @@ mod tests {
         poisoned.quarantined = true;
         c.insert(key(2), &poisoned);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn charge_covers_the_inline_report_and_its_heap_parts() {
+        let plain = decided(0);
+        assert!(entry_bytes(&plain) >= size_of::<JobReport>());
+        let mut witnessed = decided(0);
+        let mut trace = sebmc_model::Trace::new();
+        trace.states = vec![vec![false; 8]; 11];
+        trace.inputs = vec![vec![true; 3]; 10];
+        witnessed.verdict = BmcResult::Reachable(Some(trace));
+        let heap = 11 * (size_of::<Vec<bool>>() + 8) + 10 * (size_of::<Vec<bool>>() + 3);
+        assert_eq!(entry_bytes(&witnessed), entry_bytes(&plain) + heap);
     }
 
     #[test]

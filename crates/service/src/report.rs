@@ -360,7 +360,7 @@ pub fn cert_json(c: &Certificate) -> String {
         "{{\"certified\":{},\"bounds_attempted\":{},\"bounds_certified\":{},\
          \"originals\":{},\"lemmas_checked\":{},\"deletions\":{},\
          \"failed_checks\":{},\"missing_deletes\":{},\"unsat_proofs\":{},\
-         \"proof_bytes\":{},\"peak_active_clauses\":{}}}",
+         \"proof_bytes\":{},\"peak_active_clauses\":{},\"peak_checker_bytes\":{}}}",
         c.fully_certified(),
         c.bounds_attempted,
         c.bounds_certified,
@@ -372,6 +372,7 @@ pub fn cert_json(c: &Certificate) -> String {
         c.unsat_proofs,
         c.proof_bytes,
         c.peak_active_clauses,
+        c.peak_checker_bytes,
     )
 }
 

@@ -114,6 +114,15 @@ struct Counters {
     delivered: AtomicUsize,
 }
 
+/// Joins and drops every connection thread that has already exited,
+/// so a long-lived server holds handles (and unreleased thread stacks)
+/// only for connections that are still open.
+fn reap_finished(conns: &mut Vec<thread::JoinHandle<()>>) {
+    for done in conns.extract_if(.., |c| c.is_finished()) {
+        let _ = done.join();
+    }
+}
+
 /// Runs the daemon on an already-bound listener until a client sends a
 /// shutdown command, then drains (see the module docs) and returns the
 /// run's summary. The listener is consumed and closed on shutdown.
@@ -147,6 +156,7 @@ pub fn serve_on(
     while stop.load(Ordering::Relaxed) == RUN {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                reap_finished(&mut conns);
                 connections += 1;
                 let client_id = next_client;
                 next_client += 1;
@@ -344,5 +354,32 @@ fn handle_frame(
                 },
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reap_finished_joins_exited_threads_and_keeps_live_ones() {
+        let (release, wait) = mpsc::channel::<()>();
+        let mut conns: Vec<thread::JoinHandle<()>> = (0..4).map(|_| thread::spawn(|| {})).collect();
+        conns.push(thread::spawn(move || {
+            let _ = wait.recv();
+        }));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conns[..4].iter().any(|c| !c.is_finished()) {
+            assert!(Instant::now() < deadline, "short threads never exited");
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut conns);
+        assert_eq!(conns.len(), 1, "only the blocked thread is kept");
+        assert!(!conns[0].is_finished());
+        release.send(()).unwrap();
+        conns.pop().unwrap().join().unwrap();
+        reap_finished(&mut conns);
+        assert!(conns.is_empty());
     }
 }

@@ -49,7 +49,8 @@
 //!   bounded-memory checker (Unsat bounds), witnesses are replayed
 //!   through the model simulator (Sat bounds), and the verdict carries
 //!   a certificate summary (`certificate` in `--json`, including the
-//!   exact `proof_bytes`). In batch mode a *decided but uncertified*
+//!   exact `proof_bytes` and the checker's exact `peak_checker_bytes`;
+//!   fields in `docs/protocol.md`). In batch mode a *decided but uncertified*
 //!   job fails the run (exit 1) — a certificate is part of the
 //!   contract once requested.
 //! * `--witness-dir DIR` (batch) — stream each reachable job's witness

@@ -80,8 +80,10 @@ fn unroll_cancels_mid_run() {
 
 #[test]
 fn jsat_cancels_mid_run() {
-    // The DFS has ~2^40 enable paths to refute at bound 40.
-    assert_cancels_mid_run(&JSat::default(), &counter_with_enable(12), 40);
+    // Exactly-400 on a 20-bit enable-counter: UNSAT, and the DFS is
+    // still refuting paths after 20 s in release, far past the 100 ms
+    // cancel (smaller instances can decide before the token fires).
+    assert_cancels_mid_run(&JSat::default(), &counter_with_enable(20), 400);
 }
 
 #[test]
